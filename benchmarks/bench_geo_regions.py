@@ -137,18 +137,16 @@ def run_leg(seed, per_region, variant, lifetime, disturb=None):
     # and a single (often hop-shortcut) backbone send.
     t0 = handle.t0
     arrivals = {}
-    inner_deliver = net.net._deliver
 
-    def deliver(src, dst, payload):
+    def tap(src, dst, payload):
         inner = getattr(payload, "payload", None)
         if isinstance(inner, dict) and inner.get("op") in (
                 "deliver", "deliver_batch"):
             epoch = inner.get("epoch")
             if epoch is not None:
                 arrivals[epoch] = net.now
-        inner_deliver(src, dst, payload)
 
-    net.net._deliver = deliver
+    net.net.delivery_taps.append(tap)
 
     if disturb is not None:
         for at, action, region in disturb(t0):

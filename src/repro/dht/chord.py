@@ -25,12 +25,15 @@ crashing (losing all soft state) and recovers by re-joining through a
 bootstrap address.
 """
 
+from bisect import bisect_left
+from itertools import chain
+
 from repro.dht import messages as msg
 from repro.dht.rpc import RpcNode
 from repro.dht.storage import SoftStateStore
 from repro.sim.node import SimNode
 from repro.sim.processes import PeriodicProcess
-from repro.util.ids import ID_BITS, distance_cw, in_interval, node_id_for, sha1_id
+from repro.util.ids import ID_BITS, ID_SPACE, distance_cw, in_interval, node_id_for, sha1_id
 from repro.util.stats import RunningStat
 
 
@@ -73,6 +76,7 @@ class ChordNode(SimNode, RpcNode):
         self.id = node_id_for(address)
         self.ref = NodeRef(self.id, address)
 
+        self._table = None  # routing table, rebuilt lazily (_routing_table)
         self.successors = [self.ref]  # successor list; [0] is the successor
         self.predecessor = None
         self.fingers = [None] * ID_BITS
@@ -113,6 +117,54 @@ class ChordNode(SimNode, RpcNode):
             jitter_rng=rng,
         )
         self._install_rpc_handlers()
+
+    # ------------------------------------------------------------------
+    # Neighbor lists and the routing table built from them
+    # ------------------------------------------------------------------
+    # ``fingers`` and ``successors`` are only ever *assigned*, never
+    # mutated in place: every assignment drops the routing table, and
+    # the next lookup rebuilds it from the new lists.
+    @property
+    def fingers(self):
+        return self._fingers
+
+    @fingers.setter
+    def fingers(self, value):
+        self._fingers = value
+        self._table = None
+
+    @property
+    def successors(self):
+        return self._successors
+
+    @successors.setter
+    def successors(self, value):
+        self._successors = value
+        self._table = None
+
+    def _routing_table(self):
+        """``(distances, refs)``: finger and successor entries sorted by
+        clockwise distance from this node.
+
+        Entries are deduped by ``(id, address)`` and exclude this node's
+        own id. Among entries at one distance (one id, several
+        addresses) the earliest in fingers-then-successors order sits
+        *last*, so a backward walk meets it first.
+        """
+        table = self._table
+        if table is None:
+            entries = {}
+            for ref in chain(self._fingers, self._successors):
+                if ref is None or ref.id == self.id:
+                    continue
+                key = (ref.id, ref.address)
+                if key not in entries:
+                    entries[key] = (distance_cw(self.id, ref.id),
+                                    -len(entries), ref)
+            ordered = sorted(entries.values())
+            table = self._table = ([e[0] for e in ordered],
+                                   [e[2] for e in ordered])
+        return table
 
     def _fresh_req(self):
         self._next_req += 1
@@ -324,15 +376,15 @@ class ChordNode(SimNode, RpcNode):
             return self.successor == self.ref
         return in_interval(key, self.predecessor.id, self.id, inclusive_hi=True)
 
-    def _candidates(self):
-        yield from self.fingers
-        yield from self.successors
-
     def closest_preceding(self, target, exclude=()):
         """Best next hop toward ``target``: closest known predecessor of it.
 
         Skips suspects and anything in ``exclude`` (hops already tried
         for this message). Falls back to the first usable successor.
+
+        The routing table is sorted by distance from this node, so the
+        entries strictly between us and ``target`` are a prefix of it;
+        the best hop is the last usable entry of that prefix.
 
         Under ``proximity_routing`` a same-region candidate within 2x
         of the best candidate's remaining distance wins the hop: every
@@ -341,29 +393,28 @@ class ChordNode(SimNode, RpcNode):
         and the stretch is bounded, but hops stay on rack-scale links
         until the key's own region is reached.
         """
-        best = None
-        best_distance = None
-        local = None
-        local_distance = None
-        proximity = self._proximity_on()
-        for candidate in self._candidates():
-            if candidate is None or candidate == self.ref:
+        distances, refs = self._routing_table()
+        # Our distance to the target; a target at our own id is a full
+        # lap away, so every entry precedes it.
+        span = (target - self.id) % ID_SPACE or ID_SPACE
+        i = bisect_left(distances, span)
+        while i:
+            i -= 1
+            best = refs[i]
+            if best.address in exclude or self._is_suspect(best.address):
                 continue
-            if candidate.address in exclude or self._is_suspect(candidate.address):
-                continue
-            if in_interval(candidate.id, self.id, target):
-                d = distance_cw(candidate.id, target)
-                if best_distance is None or d < best_distance:
-                    best = candidate
-                    best_distance = d
-                if proximity and self._region_of(candidate.address) == self.region:
-                    if local_distance is None or d < local_distance:
-                        local = candidate
-                        local_distance = d
-        if best is not None:
-            if (local is not None and local != best
-                    and local_distance <= 2 * best_distance):
-                return local
+            if not self._proximity_on():
+                return best
+            # Walk on while the remaining distance is within 2x of the
+            # best's; the first usable same-region entry is the nearest.
+            floor = span - 2 * (span - distances[i])
+            while i >= 0 and distances[i] >= floor:
+                local = refs[i]
+                i -= 1
+                if local.address in exclude or self._is_suspect(local.address):
+                    continue
+                if self._region_of(local.address) == self.region:
+                    return best if local.id == best.id else local
             return best
         # Successor-list fallback -- but never overshoot the target:
         # forwarding *past* the key makes messages lap the ring while
@@ -837,12 +888,16 @@ class ChordNode(SimNode, RpcNode):
         )
 
     def _distinct_fingers(self):
-        """Finger + successor entries, deduped, ascending from self."""
-        seen = {}
-        for ref in list(self.successors) + [f for f in self.fingers if f]:
-            if ref != self.ref and not self._is_suspect(ref.address):
-                seen[ref.id] = ref
-        return sorted(seen.values(), key=lambda r: distance_cw(self.id, r.id))
+        """Unsuspected finger + successor entries, one per id, ascending
+        from self: for each id, the entry routing would pick."""
+        out = []
+        last_id = None
+        for ref in reversed(self._routing_table()[1]):
+            if ref.id != last_id and not self._is_suspect(ref.address):
+                out.append(ref)
+                last_id = ref.id
+        out.reverse()
+        return out
 
     def _handle_broadcast(self, message):
         if message.ack_to is not None:
@@ -1003,7 +1058,7 @@ class ChordNode(SimNode, RpcNode):
             if pred is not None and pred != self.ref and in_interval(
                 pred.id, self.id, succ.id
             ) and not self._is_suspect(pred.address):
-                self.successors.insert(0, pred)
+                self.successors = [pred] + self.successors
             fresh = [self.successor]
             for ref in reply["successors"]:
                 if ref not in fresh and ref != self.ref:
@@ -1017,7 +1072,7 @@ class ChordNode(SimNode, RpcNode):
             self._suspect(succ.address)
             # Successor is gone: fail over to the next live entry.
             if len(self.successors) > 1:
-                self.successors.pop(0)
+                self.successors = self.successors[1:]
             else:
                 self.successors = [self.ref]
 
@@ -1041,9 +1096,11 @@ class ChordNode(SimNode, RpcNode):
 
             def set_finger(owner, hops, index=index, start=start):
                 if owner is not None:
-                    self.fingers[index] = self._proximity_finger(
+                    fingers = list(self.fingers)
+                    fingers[index] = self._proximity_finger(
                         index, start, owner
                     )
+                    self.fingers = fingers
 
             self.lookup(start, set_finger)
 
@@ -1065,7 +1122,7 @@ class ChordNode(SimNode, RpcNode):
         best = canonical
         best_distance = None
         seen = set()
-        for candidate in self._candidates():
+        for candidate in chain(self.fingers, self.successors):
             if candidate is None or candidate == self.ref:
                 continue
             if candidate.address in seen:

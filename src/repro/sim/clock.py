@@ -29,7 +29,7 @@ class SimClock:
     @property
     def pending(self):
         """Number of not-yet-cancelled events still queued."""
-        return sum(1 for e in self._heap if not e.cancelled)
+        return sum(1 for _, _, e in self._heap if not e.cancelled)
 
     @property
     def events_fired(self):
@@ -42,14 +42,20 @@ class SimClock:
         return self.schedule_at(self._now + delay, callback, *args)
 
     def schedule_at(self, time, callback, *args):
-        """Run ``callback(*args)`` at absolute sim time ``time``."""
+        """Run ``callback(*args)`` at absolute sim time ``time``.
+
+        The only push site: the heap holds ``(time, seq, event)`` tuples,
+        so ordering is a C-level tuple comparison and ``seq`` (unique per
+        clock) breaks ties before the event itself is ever compared.
+        """
         if time < self._now:
             raise SimulationError(
                 "cannot schedule at t={} before now={}".format(time, self._now)
             )
-        event = Event(time, self._seq, callback, args)
-        self._seq += 1
-        heapq.heappush(self._heap, event)
+        seq = self._seq
+        event = Event(time, seq, callback, args)
+        self._seq = seq + 1
+        heapq.heappush(self._heap, (time, seq, event))
         return event
 
     def run_until(self, time):
@@ -58,13 +64,15 @@ class SimClock:
             raise SimulationError(
                 "cannot run backwards to t={} from now={}".format(time, self._now)
             )
-        while self._heap and self._heap[0].time <= time:
-            event = heapq.heappop(self._heap)
+        heap = self._heap
+        pop = heapq.heappop
+        while heap and heap[0][0] <= time:
+            at, _, event = pop(heap)
             if event.cancelled:
                 continue
-            self._now = event.time
+            self._now = at
             self._events_fired += 1
-            event.fire()
+            event.callback(*event.args)
         self._now = time
 
     def run_for(self, duration):
@@ -77,12 +85,12 @@ class SimClock:
         while self._heap:
             if max_events is not None and fired >= max_events:
                 break
-            event = heapq.heappop(self._heap)
+            at, _, event = heapq.heappop(self._heap)
             if event.cancelled:
                 continue
-            self._now = event.time
+            self._now = at
             self._events_fired += 1
-            event.fire()
+            event.callback(*event.args)
             fired += 1
         return fired
 

@@ -46,7 +46,11 @@ class Network:
         # Per-destination inbound accounting: the "fan-in at the query
         # site" metric the in-network-aggregation claim is about.
         self.inbound_bytes = {}
-        self.inbound_messages = {}
+        # Delivery taps: ``fn(src, dst, payload)`` callbacks run for every
+        # message that reaches a live node, just before its handler --
+        # how benches and tests observe traffic without wrapping
+        # ``_deliver``.
+        self.delivery_taps = []
         # Per-destination service queue (config.service_time > 0):
         # when each receiver is busy-until.
         self._busy_until = {}
@@ -109,6 +113,9 @@ class Network:
         Messages to dead or unknown nodes are silently dropped, exactly
         like UDP to a crashed host: the sender learns nothing unless a
         higher layer (the DHT's RPC timeouts) notices.
+
+        The payload is sized once, here; the size rides along to
+        ``_deliver`` for the per-destination inbound accounting.
         """
         self.counters.add("messages_sent")
         kind = getattr(payload, "kind", None)
@@ -159,7 +166,7 @@ class Network:
             self._busy_until[dst] = done
             self.counters.add("service_wait", start - arrival)
             delay = done - now
-        self.clock.schedule(delay, self._deliver, src, dst, payload)
+        self.clock.schedule(delay, self._deliver, src, dst, payload, size)
 
     def _count_exchange_hop(self, message, size, cross=False):
         """Per-hop accounting of exchange traffic (batched vs not).
@@ -215,17 +222,16 @@ class Network:
             if cross:
                 self.counters.add("exchange_cross_region_bytes", size)
 
-    def _deliver(self, src, dst, payload):
+    def _deliver(self, src, dst, payload, size):
         node = self._nodes.get(dst)
         if node is None or not node.alive:
             self.counters.add("messages_to_dead_node")
             return
         self.counters.add("messages_delivered")
-        if self.config.count_bytes:
-            self.inbound_bytes[dst] = (
-                self.inbound_bytes.get(dst, 0) + wire_size(payload)
-            )
-            self.inbound_messages[dst] = self.inbound_messages.get(dst, 0) + 1
+        if size is not None:
+            self.inbound_bytes[dst] = self.inbound_bytes.get(dst, 0) + size
+        for tap in self.delivery_taps:
+            tap(src, dst, payload)
         node.handle_message(src, payload)
 
     def broadcast_local(self, src, payload):

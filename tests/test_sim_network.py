@@ -76,6 +76,31 @@ class TestDelivery:
         assert net.counters.get("messages_delivered") == 2
         assert net.counters.get("bytes_sent") > 0
 
+    def test_inbound_bytes_carry_the_send_size(self, net, clock):
+        Recorder(net, "a")
+        Recorder(net, "b")
+        net.send("a", "b", {"k": "abc"})
+        net.send("a", "b", [1, 2])
+        clock.run_until(1)
+        assert net.inbound_bytes == {"b": net.counters.get("bytes_sent")}
+
+    def test_delivery_taps_see_live_deliveries_before_the_handler(
+            self, net, clock):
+        Recorder(net, "a")
+        b = Recorder(net, "b")
+        dead = Recorder(net, "c")
+        dead.crash()
+        seen = []
+        net.delivery_taps.append(
+            lambda src, dst, payload: seen.append((src, dst, payload,
+                                                   len(b.received))))
+        net.send("a", "b", "x")
+        net.send("a", "c", "lost")
+        net.send("a", "ghost", "lost")
+        clock.run_until(1)
+        assert seen == [("a", "b", "x", 0)]
+        assert len(b.received) == 1
+
     def test_broadcast_local_reaches_all_but_sender(self, net, clock):
         Recorder(net, "a")
         b = Recorder(net, "b")
