@@ -126,6 +126,16 @@ def run_once(benchmark, fn):
     return benchmark.pedantic(fn, rounds=1, iterations=1)
 
 
+def percentile(values, q):
+    """The ``q``-quantile of ``values`` (0.0 when empty): the sorted
+    value at index ``round(q * (n - 1))``."""
+    ordered = sorted(values)
+    if not ordered:
+        return 0.0
+    idx = min(len(ordered) - 1, int(round(q * (len(ordered) - 1))))
+    return ordered[idx]
+
+
 def fmt_table(headers, rows):
     """Fixed-width text table."""
     widths = [len(h) for h in headers]

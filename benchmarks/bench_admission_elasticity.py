@@ -404,15 +404,9 @@ def run_load_leg(seed, variant, lifetime):
     }
 
 
-def percentile(values, q):
-    ordered = sorted(values)
-    if not ordered:
-        return 0.0
-    idx = min(len(ordered) - 1, int(round(q * (len(ordered) - 1))))
-    return ordered[idx]
-
-
 def run_load_comparison(seed, lifetime):
+    from benchmarks._harness import percentile
+
     legs = {v: run_load_leg(seed, v, lifetime)
             for v in ("static", "adaptive")}
     p95 = {v: percentile(leg["lags"], 0.95) for v, leg in legs.items()}

@@ -178,15 +178,9 @@ def run_leg(seed, per_region, variant, lifetime, disturb=None):
     }
 
 
-def percentile(values, q):
-    ordered = sorted(values)
-    if not ordered:
-        return 0.0
-    idx = min(len(ordered) - 1, int(round(q * (len(ordered) - 1))))
-    return ordered[idx]
-
-
 def run_sweep(seed, per_region, lifetime):
+    from benchmarks._harness import percentile
+
     out = {v: run_leg(seed, per_region, v, lifetime) for v in VARIANTS}
 
     # Claim 1: exact answer parity, every epoch, every discipline.

@@ -49,7 +49,8 @@ class FileSharingApp:
                 terms = set()
                 while len(terms) < terms_per_file:
                     terms.add(VOCABULARY[sampler.sample() - 1])
-                self.corpus[file_id] = (address, sorted(terms))
+                terms = sorted(terms)  # set order depends on the hash seed
+                self.corpus[file_id] = (address, terms)
                 for term in terms:
                     self.net.publish(
                         address, self.table, (term, file_id, address)

@@ -81,13 +81,6 @@ class EngineConfig:
     ``stop_tombstone_ttl`` is how long a stopped qid is remembered to
     fend off stale refresh broadcasts.
 
-    ``columnar_batches`` turns on the columnar hot path: scans emit
-    their per-epoch deltas as :class:`~repro.core.batch.RowBatch`
-    objects feeding vectorized operators, and multi-row exchange
-    messages ship per-column lists instead of row tuples. Off is the
-    row-at-a-time ablation the columnar benchmark compares against;
-    results are identical either way.
-
     ``shared_dataflows`` turns on every multi-query sharing layer:
     spine co-execution of canonically identical standing queries,
     prefix (scan-stage) sharing of different queries over the same
@@ -112,7 +105,6 @@ class EngineConfig:
         route_cache_ttl=120.0,
         nack_mute_ttl=30.0,
         stop_tombstone_ttl=120.0,
-        columnar_batches=True,
         shared_dataflows=True,
         # Region-aware two-level aggregation trees: standing tree-mode
         # exchanges on a region-labelled topology send partials through
@@ -174,7 +166,6 @@ class EngineConfig:
         self.route_cache_ttl = route_cache_ttl
         self.nack_mute_ttl = nack_mute_ttl
         self.stop_tombstone_ttl = stop_tombstone_ttl
-        self.columnar_batches = columnar_batches
         self.shared_dataflows = shared_dataflows
         self.regional_trees = regional_trees
         self.cross_region_cache_ttl = cross_region_cache_ttl
@@ -253,7 +244,6 @@ class PierEngine:
         self.rows_scanned = 0  # scan effort counter (benchmarks)
         self.rows_aggregated = 0  # rows folded into stateful window ops
         self.rows_merged = 0  # partial states folded at group owners
-        self.batches_pushed = 0  # multi-row RowBatch emissions (columnar)
         self.tree_forwards = 0  # combiner forwards (closed combiners)
         self.tree_hop_shortcuts = 0  # of which went direct to a cached owner
         self.coordinator = None  # set by Coordinator.attach
@@ -343,12 +333,6 @@ class PierEngine:
         from-scratch path re-folds the whole window every epoch, so the
         ratio of these counters is the paned benchmark's headline."""
         self.rows_aggregated += n
-
-    def note_batches_pushed(self, n):
-        """Columnar-path accounting: RowBatch emissions between
-        operators. ``rows_scanned`` / ``rows_aggregated`` keep their
-        per-row meaning; this counts how often whole batches moved."""
-        self.batches_pushed += n
 
     def note_rows_merged(self, n):
         """Owner-side accounting: partial state rows folded by final

@@ -79,7 +79,7 @@ def payload_rows(payload):
     * ``cols`` -- columnar batch: per-column value lists, transposed
       back to row tuples (uniform-arity batches; saves the per-row
       container framing on the wire);
-    * ``rows`` -- row-shaped batch (ragged rows, or columnar mode off);
+    * ``rows`` -- row-shaped batch (ragged rows);
     * ``data`` -- a single row.
     """
     cols = payload.get("cols")
@@ -116,14 +116,8 @@ class Exchange(Operator):
         self._upcall = (
             ctx.upcall_name(consumer_id, port) if self.mode == "tree" else None
         )
-        self._key_fn = self._build_key_fn(spec.params["key"])
         self._batch_key_fn = self._build_batch_key_fn(spec.params["key"])
         config = ctx.engine.config
-        # Columnar wire shape for multi-row messages (row-mode ablation
-        # for the benchmarks turns it off engine-wide).
-        self._columnar_wire = bool(
-            getattr(config, "columnar_batches", True)
-        )
         self._flush_delay = spec.params.get("flush_delay", config.flush_delay)
         self._max_batch_rows = spec.params.get(
             "max_batch_rows", config.max_batch_rows
@@ -235,19 +229,6 @@ class Exchange(Operator):
         self._hot_counts = EpochStateRing(dict)  # epoch -> {rid: rows}
         self.hot_splits = 0  # rows routed under a shard key (introspection)
 
-    def _build_key_fn(self, key_spec):
-        kind = key_spec["kind"]
-        if kind == "exprs":
-            compiled = [e.compile(key_spec["schema"]) for e in key_spec["exprs"]]
-            return lambda row: tuple(fn(row) for fn in compiled)
-        if kind == "group":
-            return lambda row: row[0]
-        if kind == "row":
-            return lambda row: row
-        if kind == "const":
-            return lambda row: "__root__"
-        raise PlanError("unknown exchange key kind {!r}".format(kind))
-
     def _build_batch_key_fn(self, key_spec):
         """Routing ids for a whole batch (one per row, in row order)."""
         kind = key_spec["kind"]
@@ -268,7 +249,9 @@ class Exchange(Operator):
             return lambda batch: [row[0] for row in batch.rows()]
         if kind == "row":
             return lambda batch: batch.rows()
-        return lambda batch: ["__root__"] * len(batch)
+        if kind == "const":
+            return lambda batch: ["__root__"] * len(batch)
+        raise PlanError("unknown exchange key kind {!r}".format(kind))
 
     def _note_arrivals(self, n):
         """Fold ``n`` pushed rows into the arrival-rate EWMA (rows/sec,
@@ -344,25 +327,32 @@ class Exchange(Operator):
     def push_batch(self, batch, port=0):
         """Vectorized push: routing keys evaluate as columns, the
         per-push invariants (epoch, pane, mute lookup shape) hoist out
-        of the loop, and rows append into the same per-(pane, rid)
-        pending buckets the row path uses -- byte caps included, so the
-        shipped messages are identical to row-at-a-time pushes.
+        of the loop, and rows append into per-(pane, rid) pending
+        buckets that ship when they reach the row or byte cap. Buckets
+        are keyed by pane as well as rid because a pane-tagged exchange
+        must never mix two panes' rows in one message: the tag is per
+        batch.
         """
-        n = len(batch)
-        if n == 0:
+        if not len(batch):
             return
-        rows = batch.rows()
-        rids = self._batch_key_fn(batch)
+        pairs = zip(batch.rows(), self._batch_key_fn(batch))
         muted_fn = self._muted_fn
+        if muted_fn is None:
+            pairs = list(pairs)
+        else:
+            # Receiver NACKed these keys: the rows would only be dropped.
+            ns = self._ns
+            pairs = [(row, rid) for row, rid in pairs
+                     if not muted_fn(ns, rid)]
+            if not pairs:
+                return
         epoch = self._active_epoch() if self._standing else None
         pane = self._current_pane if self._paned else None
         if self._adaptive_flush:
-            self._note_arrivals(n)
+            self._note_arrivals(len(pairs))
         hot = self._hot_threshold and epoch is not None
         if self._flush_delay <= 0:
-            for row, rid in zip(rows, rids):
-                if muted_fn is not None and muted_fn(self._ns, rid):
-                    continue
+            for row, rid in pairs:
                 if hot:
                     rid = self._hot_rid(rid, epoch, pane)
                 self._route(rid, [row], epoch, pane)
@@ -371,9 +361,7 @@ class Exchange(Operator):
         pending = self._pending.state(epoch)
         held_rows = pending["rows"]
         held_bytes = pending["bytes"]
-        for row, rid in zip(rows, rids):
-            if muted_fn is not None and muted_fn(self._ns, rid):
-                continue
+        for row, rid in pairs:
             if hot:
                 rid = self._hot_rid(rid, epoch, pane)
             bucket = (pane, rid)
@@ -386,37 +374,6 @@ class Exchange(Operator):
                 del held_bytes[bucket]
                 self._route(rid, bucket_rows, epoch, pane)
         if self._timer is None and held_rows:
-            self._timer = self.ctx.dht.set_timer(delay, self._flush_pending)
-
-    def push(self, row, port=0):
-        rid = self._key_fn(row)
-        if self._muted_fn is not None and self._muted_fn(self._ns, rid):
-            return  # receiver NACKed this key: it would only drop the row
-        epoch = self._active_epoch() if self._standing else None
-        pane = self._current_pane if self._paned else None
-        if self._adaptive_flush:
-            self._note_arrivals(1)
-        if self._hot_threshold and epoch is not None:
-            rid = self._hot_rid(rid, epoch, pane)
-        if self._flush_delay <= 0:
-            self._route(rid, [row], epoch, pane)
-            return
-        delay, max_rows, max_bytes = self._flush_plan()
-        pending = self._pending.state(epoch)
-        # Batches are keyed by (pane, rid): a pane-tagged exchange must
-        # never mix two panes' rows in one message, because the tag is
-        # per batch.
-        bucket = (pane, rid)
-        rows = pending["rows"].setdefault(bucket, [])
-        rows.append(row)
-        size = pending["bytes"].get(bucket, 0) + wire_size(row)
-        pending["bytes"][bucket] = size
-        if len(rows) >= max_rows or size >= max_bytes:
-            del pending["rows"][bucket]
-            del pending["bytes"][bucket]
-            self._route(rid, rows, epoch, pane)
-            return
-        if self._timer is None:
             self._timer = self.ctx.dht.set_timer(delay, self._flush_pending)
 
     def _flush_pending(self, epoch=None):
@@ -438,7 +395,7 @@ class Exchange(Operator):
                        "data": rows[0]}
         else:
             payload = {"op": "deliver_batch", "ns": self._ns, "rid": rid}
-            cols = columnar_wire(rows) if self._columnar_wire else None
+            cols = columnar_wire(rows)
             if cols is not None:
                 payload["cols"] = cols
             else:

@@ -1,13 +1,10 @@
 """Select (filter): drop rows failing a predicate.
 
 Params: ``predicate`` (Expr), ``schema`` (input Schema). The predicate
-compiles once per instantiation; per-row evaluation is a closure call.
-SQL-style null semantics: a None predicate result filters the row out.
-
-Batches take the vectorized path: the predicate's batch evaluator
-produces one value column, and ``RowBatch.take`` keeps the truthy
-positions. ``take`` tests truthiness -- not ``is True`` -- so None,
-False and 0 all filter exactly as the row-at-a-time ``if`` does.
+compiles once per instantiation into a batch evaluator producing one
+value column, and ``RowBatch.take`` keeps the truthy positions.
+SQL-style null semantics: ``take`` tests truthiness -- not ``is True``
+-- so a None, False or 0 predicate result filters the row out.
 """
 
 from repro.core.dataflow import Operator
@@ -18,14 +15,9 @@ from repro.core.operators import register_operator
 class Select(Operator):
     def __init__(self, ctx, spec):
         super().__init__(ctx, spec)
-        predicate = spec.params["predicate"]
-        schema = spec.params["schema"]
-        self._predicate = predicate.compile(schema)
-        self._batch_predicate = predicate.compile_batch(schema)
-
-    def push(self, row, port=0):
-        if self._predicate(row):
-            self.emit(row)
+        self._batch_predicate = spec.params["predicate"].compile_batch(
+            spec.params["schema"]
+        )
 
     def push_batch(self, batch, port=0):
         if len(batch) == 0:

@@ -50,8 +50,6 @@ class SymmetricHashJoin(Operator):
         super().__init__(ctx, spec)
         left_schema = spec.params["left_schema"]
         right_schema = spec.params["right_schema"]
-        self._left_key = _key_fn(spec.params["left_keys"], left_schema)
-        self._right_key = _key_fn(spec.params["right_keys"], right_schema)
         self._left_batch_key = _batch_key_fn(
             spec.params["left_keys"], left_schema)
         self._right_batch_key = _batch_key_fn(
@@ -60,23 +58,11 @@ class SymmetricHashJoin(Operator):
         self._epochs = EpochStateRing(lambda: ({}, {}))
         residual = spec.params.get("residual")
         if residual is not None:
-            out_schema = left_schema.concat(right_schema)
-            self._residual = residual.compile(out_schema)
-            self._batch_residual = residual.compile_batch(out_schema)
+            self._batch_residual = residual.compile_batch(
+                left_schema.concat(right_schema)
+            )
         else:
-            self._residual = None
             self._batch_residual = None
-
-    def push(self, row, port=0):
-        tables = self._epochs.state(self._active_epoch())
-        key = self._left_key(row) if port == 0 else self._right_key(row)
-        mine, other = tables[port], tables[1 - port]
-        mine.setdefault(key, []).append(row)
-        for match in other.get(key, ()):
-            # Column order is left-then-right regardless of arrival side.
-            joined = (row + match) if port == 0 else (match + row)
-            if self._residual is None or self._residual(joined):
-                self.emit(joined)
 
     def push_batch(self, batch, port=0):
         """Vectorized build+probe: evaluate the join keys as whole
@@ -85,9 +71,9 @@ class SymmetricHashJoin(Operator):
         A batch arrives on a single port, so the opposite side's table
         is constant for the batch's duration and per-row work shrinks
         to one build append plus one probe lookup over already-computed
-        keys. The pass still walks rows in batch order and matches in
-        table insertion order -- joined output (and every table state
-        left behind) is row-identical to the default unrolled path.
+        keys. The pass walks rows in batch order and matches in table
+        insertion order, so joins leave row-major: each arriving row
+        against its matches, oldest match first.
         """
         n = len(batch)
         if n == 0:
@@ -105,15 +91,12 @@ class SymmetricHashJoin(Operator):
                 joined.append((row + match) if left else (match + row))
         if not joined:
             return
+        out = RowBatch(rows=joined)
         if self._batch_residual is not None:
-            out = RowBatch(rows=joined)
-            joined = out.take(self._batch_residual(out)).rows()
-            if not joined:
+            out = out.take(self._batch_residual(out))
+            if not len(out):
                 return
-        if len(joined) == 1:
-            self.emit(joined[0])
-        else:
-            self.emit_batch(RowBatch(rows=joined))
+        self.emit_batch(out)
 
     def seal_epoch(self, k):
         self._epochs.seal(k)
@@ -122,16 +105,8 @@ class SymmetricHashJoin(Operator):
         self._epochs.clear()
 
 
-def _key_fn(exprs, schema):
-    compiled = [e.compile(schema) for e in exprs]
-    if len(compiled) == 1:
-        fn = compiled[0]
-        return lambda row: (fn(row),)
-    return lambda row: tuple(fn(row) for fn in compiled)
-
-
 def _batch_key_fn(exprs, schema):
-    """Batch variant of :func:`_key_fn`: batch -> list of key tuples."""
+    """Join keys of a whole batch: batch -> list of key tuples."""
     compiled = [e.compile_batch(schema) for e in exprs]
     if len(compiled) == 1:
         fn = compiled[0]
@@ -153,7 +128,6 @@ class FetchMatches(Operator):
     def __init__(self, ctx, spec):
         super().__init__(ctx, spec)
         probe_schema = spec.params["probe_schema"]
-        self._probe_key = spec.params["probe_key"].compile(probe_schema)
         self._batch_probe_key = spec.params["probe_key"].compile_batch(
             probe_schema)
         self._table = spec.params["table"]
@@ -179,33 +153,13 @@ class FetchMatches(Operator):
         else:
             super().open_pane(pane)
 
-    def push(self, row, port=0):
-        epoch = self._active_epoch()
-        entry = self._epochs.state(epoch)
-        key = self._probe_key(row)
-        if self._dedup and key in entry["cache"]:
-            if self._paned and self._current_pane is not None:
-                self.announce_pane(self._current_pane)
-            self._join(row, entry["cache"][key])
-            return
-        pending = (row, self._current_pane if self._paned else None)
-        if key in entry["waiting"]:
-            entry["waiting"][key].append(pending)
-            return
-        entry["waiting"][key] = [pending]
-        self.ctx.dht.get(
-            self._table, key,
-            lambda values: self._fetched(epoch, key, values),
-        )
-
     def push_batch(self, batch, port=0):
         """Vectorized probe: evaluate the probe keys as one column,
-        then split the batch into cache hits (joined immediately),
-        piggybacks on an in-flight fetch, and novel keys -- issuing a
-        single ``get`` per distinct novel key instead of one dispatch
-        round per row. Cache hits release in batch-row order and
-        waiting lists grow in batch-row order, so emitted output and
-        the state left behind are row-identical to the unrolled path.
+        then split the batch into cache hits, piggybacks on an
+        in-flight fetch, and novel keys -- issuing a single ``get`` per
+        distinct novel key. The joins of all cache hits leave as one
+        batch, in batch-row order, before any fetch is issued; waiting
+        lists grow in batch-row order.
         """
         n = len(batch)
         if n == 0:
@@ -218,11 +172,10 @@ class FetchMatches(Operator):
         waiting = entry["waiting"]
         dedup = self._dedup
         novel = []  # distinct keys needing a fetch, in first-seen order
+        hits = []  # joins of cache-hit rows, released before any fetch
         for row, key in zip(batch.rows(), keys):
             if dedup and key in cache:
-                if pane is not None:
-                    self.announce_pane(pane)
-                self._join(row, cache[key])
+                hits.extend(self._join(row, cache[key]))
                 continue
             queue = waiting.get(key)
             if queue is not None:
@@ -230,6 +183,10 @@ class FetchMatches(Operator):
             else:
                 waiting[key] = [(row, pane)]
                 novel.append(key)
+        if hits:
+            if pane is not None:
+                self.announce_pane(pane)
+            self.emit_batch(RowBatch(rows=hits))
         for key in novel:
             self.ctx.dht.get(
                 self._table, key,
@@ -251,21 +208,27 @@ class FetchMatches(Operator):
         waiting = entry["waiting"].pop(key, ())
 
         def deliver():
+            # One batch per run of probe rows sharing a pane: joined
+            # rows belong to their probe row's pane.
             announced = None
+            joined = []
             for probe_row, pane in waiting:
                 if self._paned and pane is not None and pane != announced:
-                    # Joined rows belong to their probe row's pane.
+                    self.emit_rows(joined)
+                    joined = []
                     self.announce_pane(pane)
                     announced = pane
-                self._join(probe_row, rows)
+                joined.extend(self._join(probe_row, rows))
+            self.emit_rows(joined)
 
         self._run_in_epoch(epoch, deliver)
 
     def _join(self, probe_row, table_rows):
-        for table_row in table_rows:
-            joined = probe_row + table_row
-            if self._residual is None or self._residual(joined):
-                self.emit(joined)
+        """The joined rows of one probe row (residual applied)."""
+        joined = [probe_row + table_row for table_row in table_rows]
+        if self._residual is None:
+            return joined
+        return [row for row in joined if self._residual(row)]
 
     def seal_epoch(self, k):
         self._epochs.seal(k)

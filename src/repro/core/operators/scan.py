@@ -44,7 +44,6 @@ mode described above.
 
 import zlib
 
-from repro.core.batch import RowBatch
 from repro.core.dataflow import Operator
 from repro.core.operators import register_operator
 from repro.db.window import pane_index, window_pane_range
@@ -67,15 +66,6 @@ class Scan(Operator):
     def __init__(self, ctx, spec):
         super().__init__(ctx, spec)
         self._standing = bool(getattr(ctx, "standing", False))
-        config = getattr(getattr(ctx, "engine", None), "config", None)
-        # Columnar batching: each emission wave leaves as one RowBatch
-        # feeding consumers' push_batch. The planner stamps
-        # batch-capable pipelines (params["batch"]); the engine knob is
-        # the global row-mode ablation for benchmarks.
-        self._batch = bool(
-            spec.params.get("batch", True)
-            and getattr(config, "columnar_batches", True)
-        )
         self._paned = bool(spec.params.get("paned")) and self._standing
         # Admission-control sampling: emit only a deterministic
         # hash-sampled fraction of scanned rows. Every row is still
@@ -114,21 +104,13 @@ class Scan(Operator):
     def _count(self, n):
         self.ctx.engine.note_rows_scanned(n)
 
-    def _emit_rows(self, rows):
-        """Emit one scan wave: a single RowBatch in columnar mode, a
-        row loop otherwise. ``rows`` is taken over by the batch."""
+    def _emit_wave(self, rows):
+        """Emit one scan wave (sampled, when the plan samples) as one
+        batch; ``rows`` is taken over."""
         if self._sample_threshold is not None and rows:
             threshold = self._sample_threshold
             rows = [r for r in rows if _sample_keep(r, threshold)]
-        if not rows:
-            return
-        if self._batch and len(rows) > 1:
-            self.emit_batch(
-                RowBatch(rows=rows, schema=self._table_def.schema)
-            )
-        else:
-            for row in rows:
-                self.emit(row)
+        self.emit_rows(rows, self._table_def.schema)
 
     def _window(self):
         window = self.spec.params.get("window") or self.ctx.plan.window
@@ -147,7 +129,7 @@ class Scan(Operator):
         if self._table_def.source == "dht":
             items = self.ctx.dht.lscan(table_name)
             self._count(len(items))
-            self._emit_rows([tuple(item.value) for item in items])
+            self._emit_wave([tuple(item.value) for item in items])
             return
         fragment = self.ctx.fragment(table_name)
         if self._table_def.source == "stream":
@@ -157,7 +139,7 @@ class Scan(Operator):
         else:
             rows = fragment.scan()
             self._count(len(rows))
-        self._emit_rows(list(rows))
+        self._emit_wave(list(rows))
 
     # ------------------------------------------------------------------
     # Standing (subscription) mode
@@ -202,7 +184,7 @@ class Scan(Operator):
         else:
             rows = self.ctx.fragment(table_name).scan()
             self._count(len(rows))
-            self._emit_rows(list(rows))
+            self._emit_wave(list(rows))
 
     def _sub_ttl(self):
         # Outlive one missed boundary, not a dead query: the next
@@ -250,7 +232,7 @@ class Scan(Operator):
         else:
             rows = self.ctx.fragment(self.spec.params["table"]).scan()
             self._count(len(rows))
-            self._emit_rows(list(rows))
+            self._emit_wave(list(rows))
 
     def _emit_stream_epoch(self, t_k):
         window = self._window()
@@ -267,7 +249,7 @@ class Scan(Operator):
                 kept.append((ts, row))
         self._count(len(self._pending))
         self._pending = kept
-        self._emit_rows(out)
+        self._emit_wave(out)
 
     def _emit_paned_epoch(self, k):
         """Bucket the delta by pane and emit each row exactly once.
@@ -300,7 +282,7 @@ class Scan(Operator):
         self._pending = kept
         for p in sorted(buckets):
             self.open_pane(p)
-            self._emit_rows(buckets[p])
+            self._emit_wave(buckets[p])
 
     def inject_rows(self, rows, pane=None):
         """Relay one wave from a shared prefix stage (prefix-fed mode).
@@ -312,7 +294,7 @@ class Scan(Operator):
         """
         if pane is not None:
             self.announce_pane(pane)
-        self._emit_rows(list(rows))
+        self._emit_wave(list(rows))
 
     def _emit_dht_epoch(self):
         now = self.ctx.clock.now
@@ -325,7 +307,7 @@ class Scan(Operator):
         self._count(len(self._tracked))
         for key in dead:
             del self._tracked[key]
-        self._emit_rows(out)
+        self._emit_wave(out)
 
     def teardown(self):
         if self._share_token is not None:

@@ -90,29 +90,11 @@ class TopK(Operator):
     def open_pane(self, pane):
         self._current_pane = pane
 
-    def push(self, row, port=0):
-        if self._note is not None:
-            self._note(1)
-        if self._paned:
-            self._panes.setdefault(self._current_pane, []).append(row)
-            # A straggler landing in an already-cut pane re-opens it
-            # (its cached cut no longer reflects all of its rows; the
-            # cut-then-extend superset property keeps this safe).
-            self._pane_cut.discard(self._current_pane)
-            return
-        entry = self._epochs.state(self._active_epoch())
-        entry["rows"].append(row)
-        if self._replay and entry["flushed"] and entry["timer"] is None:
-            entry["timer"] = self.ctx.dht.set_timer(
-                0.2, self._reflush, self._active_epoch()
-            )
-
     def push_batch(self, batch, port=0):
-        """Vectorized buffer fill: one extend + one counter bump.
-
-        The cut happens at flush, so batching changes nothing about
-        the emitted rows -- only the per-row bookkeeping collapses.
-        """
+        """Buffer fill: one extend + one counter bump (the cut happens
+        at flush). A straggler landing in an already-cut pane re-opens
+        it: its cached cut no longer reflects all of its rows, and the
+        cut-then-extend superset property keeps this safe."""
         n = len(batch)
         if n == 0:
             return
@@ -156,8 +138,7 @@ class TopK(Operator):
             self.reset_batch()
         else:
             entry["rows"] = []
-        for row in ordered:
-            self.emit(row)
+        self.emit_rows(ordered)
 
     def _flush_paned(self, epoch):
         """Assemble epoch ``epoch``'s top k from its panes' top k's.
@@ -180,8 +161,7 @@ class TopK(Operator):
                 rows = self._panes[p] = self._cut(rows)
                 self._pane_cut.add(p)
             candidates.extend(rows)
-        for row in self._cut(candidates):
-            self.emit(row)
+        self.emit_rows(self._cut(candidates))
 
     def seal_epoch(self, k):
         self._epochs.seal(k)

@@ -79,8 +79,6 @@ class QueryPlan:
         # specs. The planner decides all three.
         if standing and mode != "continuous":
             raise PlanError("only continuous plans can be standing")
-        if isinstance(epoch_overlap, bool):  # legacy two-live-epoch flag
-            epoch_overlap = 2 if epoch_overlap else 1
         epoch_overlap = int(epoch_overlap)
         if epoch_overlap < 1:
             raise PlanError("epoch_overlap must be >= 1 live epoch")

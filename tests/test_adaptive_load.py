@@ -4,6 +4,7 @@ splitting, and the simulator's receive-side service queue."""
 
 import pytest
 
+from repro.core.batch import RowBatch
 from repro.core.dataflow import EpochStateRing, Operator, StandingExecution
 from repro.core.exchange import Exchange
 from repro.core.network import PierConfig, PierNetwork
@@ -34,8 +35,8 @@ class LoadProbe(Operator):
     def seal_epoch(self, k):
         self.ring.seal(k)
 
-    def push(self, row, port=0):
-        self.pushed.append(row)
+    def push_batch(self, batch, port=0):
+        self.pushed.extend(batch.rows())
 
 
 class _StubTimer:
@@ -362,7 +363,7 @@ class TestHotGroupSplit:
         sent = []
         exchange, _ = make_exchange(config, key_kind="group", sent=sent)
         for i in range(20):
-            exchange.push((("g",), (float(i),)))
+            exchange.push_batch(RowBatch.from_rows([(("g",), (float(i),))]))
         rids = [p["rid"] for p in sent]
         assert rids[:5] == [("g",)] * 5  # under threshold: untouched
         sharded = rids[5:]
@@ -376,7 +377,7 @@ class TestHotGroupSplit:
         sent = []
         exchange, _ = make_exchange(config, key_kind="group", sent=sent)
         for g in range(10):  # ten groups, one row each
-            exchange.push((("g{}".format(g),), (1.0,)))
+            exchange.push_batch(RowBatch.from_rows([(("g{}".format(g),), (1.0,))]))
         assert all(p["rid"][0].startswith("g") for p in sent)
         assert exchange.hot_splits == 0
 
@@ -386,7 +387,7 @@ class TestHotGroupSplit:
         sent = []
         exchange, _ = make_exchange(config, key_kind="group", sent=sent)
         for i in range(5):
-            exchange.push((("g",), (1.0,)))
+            exchange.push_batch(RowBatch.from_rows([(("g",), (1.0,))]))
         exchange.seal_epoch(3)
         assert exchange.hot_splits == 0  # sealed before crossing
 

@@ -68,7 +68,7 @@ class TestLifecycle:
         assert execution.closed
         assert not execution._flush_timers
         # Deliveries after close are ignored, not errors.
-        execution.deliver(plan.root_id, 0, (1,))
+        execution.deliver_batch(plan.root_id, 0, [(1,)])
 
     def test_double_close_is_noop(self, net):
         plan = net.compile_sql("SELECT v FROM t")

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.aggregates import AggSpec
+from repro.core.batch import RowBatch
 from repro.core.dataflow import Operator
 from repro.core.opgraph import OpSpec
 from repro.core.operators import create_operator, registered_kinds
@@ -19,8 +20,8 @@ class Sink(Operator):
         self.consumers = []
         self.resets = 0
 
-    def push(self, row, port=0):
-        self.rows.append(row)
+    def push_batch(self, batch, port=0):
+        self.rows.extend(batch.rows())
 
     def reset_batch(self):
         self.resets += 1
@@ -47,6 +48,11 @@ class StubCtx:
     t0 = 0.0
 
 
+def feed(op, row, port=0):
+    """Deliver one row as a one-row batch."""
+    op.push_batch(RowBatch.from_rows([row]), port)
+
+
 def make(kind, params, ports=1):
     op = create_operator(StubCtx(), OpSpec("x", kind, params))
     sink = Sink()
@@ -69,9 +75,46 @@ class TestRegistry:
         with pytest.raises(PlanError):
             create_operator(StubCtx(), OpSpec("x", "teleport", {}))
 
+    def test_rows_travel_only_as_batches(self):
+        # One operator entry point: no row-at-a-time push or emit may
+        # come back beside push_batch / emit_batch.
+        from repro.core.operators import _REGISTRY
+
+        for cls in (Operator, *_REGISTRY.values()):
+            assert not hasattr(cls, "push"), cls
+            assert not hasattr(cls, "emit"), cls
+            assert callable(getattr(cls, "push_batch", None)), cls
+        for kind, cls in _REGISTRY.items():
+            if cls.__module__.startswith("repro.") and kind != "scan":
+                # Every built-in with inputs has its own kernel; only
+                # the source keeps the base class's refusal.
+                assert cls.push_batch is not Operator.push_batch, kind
+
+    def test_unknown_exchange_key_kind_rejected(self):
+        from repro.core.engine import EngineConfig
+
+        class Plan:
+            def consumers_of(self, op_id):
+                return [("sink", 0)]
+
+        class Engine:
+            config = EngineConfig()
+
+        class Ctx(StubCtx):
+            plan = Plan()
+            engine = Engine()
+
+            def namespace(self, op_id, port):
+                return "ns|{}|{}".format(op_id, port)
+
+        with pytest.raises(PlanError, match="key kind"):
+            create_operator(Ctx(), OpSpec("x", "exchange", {
+                "mode": "rehash", "key": {"kind": "teleport"},
+            }))
+
     def test_base_push_not_implemented(self):
         with pytest.raises(NotImplementedError):
-            Operator(StubCtx(), OpSpec("x", "abstract", {})).push((1,))
+            feed(Operator(StubCtx(), OpSpec("x", "abstract", {})), (1,))
 
 
 class TestSelect:
@@ -80,14 +123,14 @@ class TestSelect:
             "predicate": BinaryOp(">", col("a"), lit(2)), "schema": SCHEMA,
         })
         for a in (1, 2, 3, 4):
-            op.push((a, 0, ""))
+            feed(op, (a, 0, ""))
         assert [r[0] for r in sink.rows] == [3, 4]
 
     def test_null_predicate_drops(self):
         op, sink = make("select", {
             "predicate": BinaryOp(">", col("a"), lit(None)), "schema": SCHEMA,
         })
-        op.push((5, 0, ""))
+        feed(op, (5, 0, ""))
         assert sink.rows == []
 
 
@@ -97,7 +140,7 @@ class TestProject:
             "exprs": [BinaryOp("+", col("a"), col("b")), col("s")],
             "schema": SCHEMA,
         })
-        op.push((1, 2, "x"))
+        feed(op, (1, 2, "x"))
         assert sink.rows == [(3, "x")]
 
 
@@ -109,9 +152,9 @@ class TestGroupBy:
         op, sink = make("groupby_partial", {
             "group_exprs": [col("a")], "agg_specs": self.specs(), "schema": SCHEMA,
         })
-        op.push((1, 10, ""))
-        op.push((1, 5, ""))
-        op.push((2, 7, ""))
+        feed(op, (1, 10, ""))
+        feed(op, (1, 5, ""))
+        feed(op, (2, 7, ""))
         assert sink.rows == []  # holds until flush
         op.flush()
         assert sorted(sink.rows) == [((1,), (15, 2)), ((2,), (7, 1))]
@@ -120,7 +163,7 @@ class TestGroupBy:
         op, sink = make("groupby_partial", {
             "group_exprs": [], "agg_specs": self.specs(), "schema": SCHEMA,
         })
-        op.push((1, 1, ""))
+        feed(op, (1, 1, ""))
         op.flush()
         op.flush()
         assert len(sink.rows) == 1
@@ -129,9 +172,9 @@ class TestGroupBy:
         # The final emits mergeable (group, states) rows -- finalization
         # happens at the query site so duplicate owners can reconcile.
         op, sink = make("groupby_final", {"agg_specs": self.specs()})
-        op.push(((1,), (10, 2)))
-        op.push(((1,), (5, 1)))
-        op.push(((2,), (7, 1)))
+        feed(op, ((1,), (10, 2)))
+        feed(op, ((1,), (5, 1)))
+        feed(op, ((2,), (7, 1)))
         op.flush()
         assert sorted(sink.rows) == [((1,), (15, 3)), ((2,), (7, 1))]
 
@@ -139,8 +182,8 @@ class TestGroupBy:
         op, sink = make("groupby_final", {
             "agg_specs": [AggSpec("AVG", col("b"), "avg")],
         })
-        op.push(((), ((10, 2),)))
-        op.push(((), ((20, 3),)))
+        feed(op, ((), ((10, 2),)))
+        feed(op, ((), ((20, 3),)))
         op.flush()
         assert sink.rows == [((), ((30, 5),))]
 
@@ -148,11 +191,11 @@ class TestGroupBy:
         # A straggler arriving after the flush triggers a re-emission of
         # the full state, preceded by a downstream batch reset.
         op, sink = make("groupby_final", {"agg_specs": self.specs()})
-        op.push(((1,), (10, 1)))
+        feed(op, ((1,), (10, 1)))
         op.flush()
         assert sink.rows == [((1,), (10, 1))]
         assert sink.resets == 1
-        op.push(((1,), (5, 1)))  # straggler: schedules a re-flush
+        feed(op, ((1,), (5, 1)))  # straggler: schedules a re-flush
         op.flush()  # (the timer would do this; call directly in the unit test)
         assert sink.rows[-1] == ((1,), (15, 2))
         assert sink.resets == 2
@@ -171,7 +214,7 @@ class TestTopK:
             "sort_keys": [(col("a"), True)], "limit": 2, "schema": SCHEMA,
         })
         for a in (3, 1, 4, 1, 5):
-            op.push((a, 0, ""))
+            feed(op, (a, 0, ""))
         op.flush()
         assert [r[0] for r in sink.rows] == [5, 4]
 
@@ -180,9 +223,9 @@ class TestTopK:
             "sort_keys": [(col("a"), True), (col("b"), False)],
             "limit": 3, "schema": SCHEMA,
         })
-        op.push((1, 9, ""))
-        op.push((1, 2, ""))
-        op.push((2, 5, ""))
+        feed(op, (1, 9, ""))
+        feed(op, (1, 2, ""))
+        feed(op, (2, 5, ""))
         op.flush()
         assert [(r[0], r[1]) for r in sink.rows] == [(2, 5), (1, 2), (1, 9)]
 
@@ -197,21 +240,21 @@ class TestTopK:
 class TestMisc:
     def test_distinct_emits_once(self):
         op, sink = make("distinct", {})
-        op.push((1, 2))
-        op.push((1, 2))
-        op.push((3, 4))
+        feed(op, (1, 2))
+        feed(op, (1, 2))
+        feed(op, (3, 4))
         assert sink.rows == [(1, 2), (3, 4)]
 
     def test_union_passthrough_all_ports(self):
         op, sink = make("union", {})
-        op.push((1,), port=0)
-        op.push((2,), port=1)
+        feed(op, (1,), port=0)
+        feed(op, (2,), port=1)
         assert sink.rows == [(1,), (2,)]
 
     def test_limit_cuts(self):
         op, sink = make("limit", {"limit": 2})
         for i in range(5):
-            op.push((i,))
+            feed(op, (i,))
         assert sink.rows == [(0,), (1,)]
 
 
@@ -227,37 +270,37 @@ class TestSymmetricHashJoin:
 
     def test_matches_emitted_either_arrival_order(self):
         op, sink = self.make_join()
-        op.push((1,), port=0)
-        op.push((1, "x"), port=1)  # probe finds left row
-        op.push((2, "y"), port=1)
-        op.push((2,), port=0)  # probe finds right row
+        feed(op, (1,), port=0)
+        feed(op, (1, "x"), port=1)  # probe finds left row
+        feed(op, (2, "y"), port=1)
+        feed(op, (2,), port=0)  # probe finds right row
         assert sorted(sink.rows) == [(1, 1, "x"), (2, 2, "y")]
 
     def test_column_order_always_left_then_right(self):
         op, sink = self.make_join()
-        op.push((7, "z"), port=1)
-        op.push((7,), port=0)
+        feed(op, (7, "z"), port=1)
+        feed(op, (7,), port=0)
         assert sink.rows == [(7, 7, "z")]
 
     def test_duplicates_multiply(self):
         op, sink = self.make_join()
-        op.push((1,), port=0)
-        op.push((1,), port=0)
-        op.push((1, "x"), port=1)
+        feed(op, (1,), port=0)
+        feed(op, (1,), port=0)
+        feed(op, (1, "x"), port=1)
         assert len(sink.rows) == 2
 
     def test_residual_filters(self):
         residual = BinaryOp("=", col("r.y"), lit("keep"))
         op, sink = self.make_join(residual)
-        op.push((1,), port=0)
-        op.push((1, "keep"), port=1)
-        op.push((1, "drop"), port=1)
+        feed(op, (1,), port=0)
+        feed(op, (1, "keep"), port=1)
+        feed(op, (1, "drop"), port=1)
         assert sink.rows == [(1, 1, "keep")]
 
     def test_no_cross_key_matches(self):
         op, sink = self.make_join()
-        op.push((1,), port=0)
-        op.push((2, "x"), port=1)
+        feed(op, (1,), port=0)
+        feed(op, (2, "x"), port=1)
         assert sink.rows == []
 
 
@@ -277,8 +320,8 @@ class TestBloomStage:
         }))
         sink = Sink()
         op.wire(sink, 0)
-        op.push((1, 0, ""))
-        op.push((2, 0, ""))
+        feed(op, (1, 0, ""))
+        feed(op, (2, 0, ""))
         assert sink.rows == []
         op.flush()
         assert sent[0]["side"] == "left"
@@ -298,7 +341,7 @@ class TestBloomStage:
         }))
         sink = Sink()
         op.wire(sink, 0)
-        op.push((5, 0, ""))
+        feed(op, (5, 0, ""))
         op.control({"filters": {}})
         assert len(sink.rows) == 1
 
@@ -312,7 +355,7 @@ class TestBloomStage:
         }))
         sink = Sink()
         op.wire(sink, 0)
-        op.push((5, 0, ""))
+        feed(op, (5, 0, ""))
         op.control({"filters": {}})
         op.control({"filters": {}})
         assert len(sink.rows) == 1

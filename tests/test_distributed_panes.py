@@ -17,6 +17,7 @@ Coverage layers:
 
 import pytest
 
+from repro.core.batch import RowBatch
 from repro.core.network import PierNetwork
 
 GROUPED_SQL = (
@@ -379,10 +380,10 @@ class TestPaneMechanics:
 
         exchange = Exchange(StubCtx(), StubSpec())
         exchange.open_pane(7)
-        exchange.push((("g",), (1,)))
-        exchange.push((("g",), (2,)))
+        exchange.push_batch(RowBatch.from_rows([(("g",), (1,))]))
+        exchange.push_batch(RowBatch.from_rows([(("g",), (2,))]))
         exchange.open_pane(8)
-        exchange.push((("g",), (3,)))
+        exchange.push_batch(RowBatch.from_rows([(("g",), (3,))]))
         exchange.flush()
         by_pane = {}
         from repro.core.exchange import payload_rows

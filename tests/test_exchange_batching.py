@@ -9,6 +9,7 @@ What may change is the message count, which is the whole point.
 
 import pytest
 
+from repro.core.batch import RowBatch
 from repro.core.engine import EngineConfig
 from repro.core.network import PierConfig, PierNetwork
 
@@ -244,7 +245,7 @@ class TestBatchLimits:
 
         exchange = Exchange(StubCtx(), StubSpec())
         for i in range(7):
-            exchange.push(("same-key",))  # one routing key, seven rows
+            exchange.push_batch(RowBatch.from_rows([("same-key",)]))  # one key, 7 rows
         # Row cap is 3: two full batches ship immediately, one row waits.
         from repro.core.exchange import payload_rows
 
@@ -289,7 +290,7 @@ class TestBatchLimits:
 
         exchange = Exchange(StubCtx(), StubSpec())
         for i in range(4):
-            exchange.push((i,))
+            exchange.push_batch(RowBatch.from_rows([(i,)]))
         assert [p["op"] for p in sent] == ["deliver"] * 4
 
 
@@ -360,9 +361,6 @@ class TestUndeliveredBuffer:
         delivered = []
 
         class StubExecution:
-            def deliver(self, op_id, port, row):
-                delivered.append(row)
-
             def deliver_batch(self, op_id, port, rows):
                 delivered.extend(rows)
 

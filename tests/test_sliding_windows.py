@@ -18,6 +18,7 @@ import random
 import pytest
 
 from repro.core.aggregates import AggSpec
+from repro.core.batch import RowBatch
 from repro.core.dataflow import StandingExecution
 from repro.core.network import PierNetwork
 from repro.core.opgraph import OpSpec
@@ -96,8 +97,8 @@ class Sink:
         self.rows = []
         self.consumers = []
 
-    def push(self, row, port=0):
-        self.rows.append(row)
+    def push_batch(self, batch, port=0):
+        self.rows.extend(batch.rows())
 
     def reset_batch(self):
         pass
@@ -173,8 +174,7 @@ class TestPanedPropertyParity:
                 if rows:
                     rows_by_pane[p] = rows
                     op.open_pane(p)
-                    for row in rows:
-                        op.push(row)
+                    op.push_batch(RowBatch.from_rows(rows, SCHEMA))
             next_pane = hi
             op.ctx.epoch = op.ctx.active_epoch = k
             sink.rows = []
@@ -206,13 +206,13 @@ class TestPanedPropertyParity:
         sink = Sink()
         op.wire(sink, 0)
         op.open_pane(0)
-        op.push(("a", 5))
+        op.push_batch(RowBatch.from_rows([("a", 5)], SCHEMA))
         expectations = {1: {("a",): (5, 1)}}
         op.ctx.epoch = op.ctx.active_epoch = 1
         op.flush()
         assert dict(sink.rows) == expectations[1]
         op.open_pane(0)  # straggler: pane 0 already merged
-        op.push(("a", 2))
+        op.push_batch(RowBatch.from_rows([("a", 2)], SCHEMA))
         for k, expect in ((2, {("a",): (7, 2)}), (3, {("a",): (7, 2)}),
                           (4, {})):
             op.ctx.epoch = op.ctx.active_epoch = k
@@ -230,7 +230,7 @@ class TestPanedPropertyParity:
         sink = Sink()
         op.wire(sink, 0)
         op.open_pane(0)
-        op.push(("a", 5))
+        op.push_batch(RowBatch.from_rows([("a", 5)], SCHEMA))
         for k, expect in ((1, {("a",): (5,)}), (2, {("a",): (5,)}), (3, {})):
             op.ctx.epoch = op.ctx.active_epoch = k
             sink.rows = []

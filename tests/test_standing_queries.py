@@ -3,6 +3,7 @@ epoch tags, stop tombstones, and NACKed early rows."""
 
 import pytest
 
+from repro.core.batch import RowBatch
 from repro.core.network import PierNetwork
 from repro.dht.chord import NodeRef, node_id_for
 
@@ -383,7 +384,7 @@ class TestNack:
             if type(op).__name__ == "Exchange"
         )
         engine._exchange_mutes[(exchange._ns, ())] = net.now + 30.0
-        exchange.push(((), (1.0, 1)))  # group row keyed ()
+        exchange.push_batch(RowBatch.from_rows([((), (1.0, 1))]))  # keyed ()
         assert len(exchange._pending) == 0  # dropped before buffering
 
 

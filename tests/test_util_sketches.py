@@ -21,6 +21,7 @@ import random
 import pytest
 
 from repro.core.aggregates import AggSpec, aggregate_by_name
+from repro.core.batch import RowBatch
 from repro.core.opgraph import OpSpec
 from repro.core.operators import create_operator
 from repro.db.expressions import col
@@ -211,8 +212,8 @@ class Sink:
         self.rows = []
         self.consumers = []
 
-    def push(self, row, port=0):
-        self.rows.append(row)
+    def push_batch(self, batch, port=0):
+        self.rows.extend(batch.rows())
 
     def reset_batch(self):
         pass
@@ -258,8 +259,7 @@ class TestPaneSlidingSketchParity:
                     continue
                 for op in (exact_op, approx_op):
                     op.open_pane(p)
-                    for row in rows:
-                        op.push(row)
+                    op.push_batch(RowBatch.from_rows(rows, SCHEMA))
             next_pane = hi
             for op, sink in ((exact_op, exact_sink),
                              (approx_op, approx_sink)):
@@ -344,8 +344,7 @@ class TestApproxTopKInvertible:
                         for _ in range(rng.randint(0, 12))]
                 by_pane[p] = [v for _g, v in rows]
                 op.open_pane(p)
-                for row in rows:
-                    op.push(row)
+                op.push_batch(RowBatch.from_rows(rows, SCHEMA))
             next_pane = hi
             op.ctx.epoch = op.ctx.active_epoch = k
             sink.rows = []
