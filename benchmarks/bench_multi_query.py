@@ -561,6 +561,9 @@ def main(argv=None):
         "prefix_scan_ratio_100": round(ratios["prefix_scan_ratio_100"], 4),
         "prefix_xmsg_ratio_100": round(ratios["prefix_xmsg_ratio_100"], 4),
         "prefix_unshared_scan_x": round(ratios["prefix_unshared_scan_x"], 4),
+        # Headline totals the exhibits print for the Q=100 fleets.
+        "shared_messages_100": stats["shared"][100]["messages"],
+        "staged_messages_100": pstats["shared"][100]["messages"],
     }, scale="smoke" if args.smoke else "full")
     print("ok: {} fleets share one spine with per-query parity; Q=100 "
           "costs {:.2f}x scans / {:.2f}x hops of Q=1".format(

@@ -121,7 +121,7 @@ class TreeCombiner:
             payload = {"op": "deliver", "ns": self.ns, "rid": gvals,
                        "data": (gvals, tuple(states)),
                        "mid": self.dht.fresh_mid()}
-            route_ns = self.route_ns
+            key = storage_key(self.route_ns, gvals)
             if epoch is not None:
                 payload["epoch"] = epoch
                 if self.paned:
@@ -135,16 +135,19 @@ class TreeCombiner:
                     # so every re-forward of the partial converges on
                     # the one salted rendezvous instead of bouncing
                     # between keys as hops disagree about the owner.
-                    if salted or self.suspect_fn(self.ns, gvals):
-                        route_ns = epoch_route_ns(route_ns, epoch)
+                    if salted or self.suspect_fn(key):
+                        key = storage_key(
+                            epoch_route_ns(self.route_ns, epoch), gvals
+                        )
                         payload["salted"] = True
                 else:
-                    route_ns = epoch_route_ns(route_ns, epoch)
+                    key = storage_key(
+                        epoch_route_ns(self.route_ns, epoch), gvals
+                    )
             if self.qsrc_fn is not None:
                 qsrc = self.qsrc_fn()
                 if qsrc is not None:
                     payload["qsrc"] = qsrc
-            key = storage_key(route_ns, gvals)
             if (self.owner_fn is not None and epoch is not None
                     and not payload.get("salted")):
                 # Tree-edge hop caching: an unsalted standing forward
@@ -163,7 +166,7 @@ class TreeCombiner:
                 # ``EngineConfig.cross_region_cache_ttl``) -- a cross-
                 # region owner learned just before a partition must not
                 # pin post-rejoin forwards onto the backbone.
-                owner = self.owner_fn(self.ns, gvals)
+                owner = self.owner_fn(key)
                 if owner is not None:
                     self.hop_shortcuts += 1
                     self.dht.route_via(owner, key, payload)

@@ -489,7 +489,9 @@ class _ExecutionBase:
         self._schedule_flushes()
 
     def _source_ids(self):
-        return {s.op_id for s in self.plan.sources()}
+        # A list in plan order: callers start, open and seal sources in
+        # this order, and a set would order them by string hash.
+        return [s.op_id for s in self.plan.sources()]
 
     def _register_endpoints(self):
         """Tell the engine which exchange namespaces feed which ops."""

@@ -225,9 +225,12 @@ class PierEngine:
         self._undelivered_timer = None
         self._stop_tombstones = {}  # qid -> forget-at time (stale-refresh guard)
         self._exchange_mutes = {}  # (ns, rid) -> mute expiry (NACKed keys)
-        # Learned-owner cache: (ns, rid) -> (NodeRef, expiry, region).
-        # The region rides along so cross-region owners can expire on
-        # the shorter cross_region_cache_ttl.
+        # Learned-owner cache: routing key -> (NodeRef, expiry, region).
+        # Keyed by the ring key the owner terminates, so every exchange
+        # routing under one namespace (prefix-stage members, both join
+        # inputs) shares one entry. The region rides along so
+        # cross-region owners can expire on the shorter
+        # cross_region_cache_ttl.
         self._route_owners = {}
         # Backpressure: inbound standing-exchange row accounting per
         # namespace (detection side, this node as owner) and TTL'd
@@ -480,8 +483,6 @@ class PierEngine:
         execution.close()
         # The query is gone for good: reclaim its per-key soft state.
         prefix = "q|{}|".format(record.qid)
-        for key in [k for k in self._route_owners if k[0].startswith(prefix)]:
-            del self._route_owners[key]
         for key in [k for k in self._exchange_mutes if k[0].startswith(prefix)]:
             del self._exchange_mutes[key]
 
@@ -658,14 +659,6 @@ class PierEngine:
         execution, srec.execution = srec.execution, None
         if execution is not None:
             execution.close()
-        # The spine is gone for good: reclaim its per-key soft state.
-        prefix = "s|{}|".format(key)
-        for entry in [k for k in self._route_owners
-                      if k[0].startswith(prefix)]:
-            del self._route_owners[entry]
-        for entry in [k for k in self._exchange_mutes
-                      if k[0].startswith(prefix)]:
-            del self._exchange_mutes[entry]
 
     # ------------------------------------------------------------------
     # Shared prefix stages (common-subplan sharing)
@@ -837,16 +830,6 @@ class PierEngine:
         execution, prec.execution = prec.execution, None
         if execution is not None:
             execution.close()
-        # The stage is gone for good: reclaim the co-routing soft state
-        # its members' exchanges accumulated under the prefix route
-        # namespace.
-        prefix = "p|{}|".format(key)
-        for entry in [k for k in self._route_owners
-                      if k[0].startswith(prefix)]:
-            del self._route_owners[entry]
-        for entry in [k for k in self._exchange_mutes
-                      if k[0].startswith(prefix)]:
-            del self._exchange_mutes[entry]
 
     def _sweep_soft_maps(self):
         """Reclaim expired tombstones / mutes / owner-cache entries.
@@ -883,8 +866,6 @@ class PierEngine:
             self._drop_undelivered(ns)
         for key in [k for k in self._exchange_mutes if k[0].startswith(prefix)]:
             del self._exchange_mutes[key]
-        for key in [k for k in self._route_owners if k[0].startswith(prefix)]:
-            del self._route_owners[key]
         record = self.queries.pop(qid, None)
         if record is None:
             return
@@ -1217,18 +1198,18 @@ class PierEngine:
             return False
         return True
 
-    def cached_owner(self, ns, rid):
-        """Learned terminal owner for a standing exchange key, if fresh."""
-        entry = self._route_owners.get((ns, rid))
+    def cached_owner(self, key):
+        """Learned terminal owner of routing key ``key``, if fresh."""
+        entry = self._route_owners.get(key)
         if entry is None:
             return None
         ref, expiry = entry[0], entry[1]
         if expiry <= self.clock.now or self.dht.is_suspect(ref.address):
-            del self._route_owners[(ns, rid)]
+            del self._route_owners[key]
             return None
         return ref
 
-    def route_owner_suspect(self, ns, rid):
+    def route_owner_suspect(self, key):
         """Is the learned owner for a standing key currently suspect?
 
         Drives the stable-rendezvous fallback on standing tree edges:
@@ -1239,12 +1220,12 @@ class PierEngine:
         entries are reclaimed; no cache entry means nothing to
         distrust.
         """
-        entry = self._route_owners.get((ns, rid))
+        entry = self._route_owners.get(key)
         if entry is None:
             return False
         ref, expiry = entry[0], entry[1]
         if expiry <= self.clock.now:
-            del self._route_owners[(ns, rid)]
+            del self._route_owners[key]
             return False
         return self.dht.is_suspect(ref.address)
 
@@ -1290,22 +1271,20 @@ class PierEngine:
                     self._exchange_mutes[(ns, rid)] = expiry
             return
         if op == "xowner":
-            if payload.get("rid") is not None:
-                ns, rid = payload["ns"], payload["rid"]
-                region = payload.get("region")
-                ttl = self.config.route_cache_ttl
-                if (region is not None and self.region is not None
-                        and region != self.region):
-                    # A backbone owner: trust it for less time, so a
-                    # partition cannot leave a cross-region entry
-                    # pinning forwards long after the region rejoined.
-                    ttl = min(ttl, self.config.cross_region_cache_ttl)
-                self._route_owners[(ns, rid)] = (
-                    payload["ref"], self.clock.now + ttl, region,
-                )
+            region = payload.get("region")
+            ttl = self.config.route_cache_ttl
+            if (region is not None and self.region is not None
+                    and region != self.region):
+                # A backbone owner: trust it for less time, so a
+                # partition cannot leave a cross-region entry pinning
+                # forwards long after the region rejoined.
+                ttl = min(ttl, self.config.cross_region_cache_ttl)
+            self._route_owners[payload["key"]] = (
+                payload["ref"], self.clock.now + ttl, region,
+            )
             return
         if op == "xowner_stale":
-            self._route_owners.pop((payload["ns"], payload["rid"]), None)
+            self._route_owners.pop(payload["key"], None)
             return
         if op == "xbp":
             # An overloaded owner asks us to stretch flushes toward it.
@@ -1326,7 +1305,14 @@ class PierEngine:
         if self.coordinator is None:
             return
         if op == "qres":
-            self.coordinator.on_result(payload)
+            # One message per site and epoch; the coordinator takes one
+            # payload per subscriber, each under its own qid and epoch.
+            for qid, epoch in payload["subs"]:
+                self.coordinator.on_result({
+                    "qid": qid, "epoch": epoch, "node": payload["node"],
+                    "rows": list(payload["rows"]),
+                    "replace": payload["replace"],
+                })
         elif op == "qprog":
             self.coordinator.on_progress(payload)
         elif op == "qbloom":

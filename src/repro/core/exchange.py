@@ -415,7 +415,7 @@ class Exchange(Operator):
                     payload["qsrc"] = qsrc
             if self._cache_owners:
                 key = storage_key(self._route_ns, rid)
-                owner = self._owner_fn(self._ns, rid)
+                owner = self._owner_fn(key)
                 if owner is not None:
                     self._dispatch_via(owner, key, payload)
                     return
@@ -445,15 +445,14 @@ class Exchange(Operator):
                 # re-decided from its own cache, two nodes disagreeing
                 # about the owner's health would bounce a combined
                 # partial between the two rendezvous keys forever.
-                if self._suspect_fn(self._ns, rid):
+                key = storage_key(self._route_ns, rid)
+                if self._suspect_fn(key):
                     key = storage_key(
                         epoch_route_ns(self._route_ns, epoch), rid
                     )
                     payload["salted"] = True
-                else:
-                    key = storage_key(self._route_ns, rid)
-                    if self._owner_fn(self._ns, rid) is None:
-                        payload["learn"] = True
+                elif self._owner_fn(key) is None:
+                    payload["learn"] = True
                 self._ship(key, payload)
                 return
             # No owner cache (tree mode): salt the routing key with the

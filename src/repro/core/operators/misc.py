@@ -252,25 +252,18 @@ class ResultReturn(Operator):
         if not self._replace:
             self._batches.seal(epoch)
         # One target (the query's own site) for private executions; a
-        # spine fans the same rows to every subscriber whose window
-        # this epoch answers, each under its own qid and epoch number.
+        # spine answers every subscriber whose window this epoch
+        # covers, each under its own qid and epoch number. One message
+        # per site carries the rows once and lists its subscribers.
         # Each message gets its own list: replace-mode keeps the batch
         # for refinement re-sends, and receivers must never alias it.
-        targets_fn = getattr(self.ctx, "result_targets", None)
-        if targets_fn is None:
-            self.ctx.send_to_origin({
-                "op": "qres", "qid": self.ctx.query_id, "epoch": epoch,
-                "node": self.ctx.engine.address, "rows": list(rows),
-                "replace": self._replace,
-            })
-            return
-        for qid, origin, their_epoch in targets_fn(epoch):
+        subs_by_site = {}
+        for qid, origin, their_epoch in self.ctx.result_targets(epoch):
+            subs_by_site.setdefault(origin, []).append((qid, their_epoch))
+        for origin, subs in subs_by_site.items():
             self.ctx.dht.direct(origin, {
-                "op": "qres",
-                "qid": qid,
-                "epoch": their_epoch,
-                "node": self.ctx.engine.address,
-                "rows": list(rows),
+                "op": "qres", "subs": subs,
+                "node": self.ctx.engine.address, "rows": list(rows),
                 "replace": self._replace,
             })
 

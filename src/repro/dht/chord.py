@@ -724,7 +724,12 @@ class ChordNode(SimNode, RpcNode):
             )
             self._note_storage_probe(payload["ns"])
         elif op == "deliver" or op == "deliver_batch":
-            self._deliver_arrived(payload, message)
+            # A replay of a delivery this node already consumed (a
+            # re-forward after a lost hop ack) drops here, before it
+            # can double-count in an execution or the engine's
+            # unclaimed-row buffer.
+            if self.accept_delivery_once(payload.get("mid")):
+                self._deliveries_arrived((payload,), message)
         elif op == "deliver_mux":
             # A multiplexed bundle: several co-routed exchange payloads
             # (different queries sharing one prefix stage) shipped as a
@@ -732,10 +737,11 @@ class ChordNode(SimNode, RpcNode):
             # delivery id; each part keeps its own too, so a replayed
             # bundle drops whole and a part re-sent solo later still
             # dedups.
-            if not self.accept_delivery_once(payload.get("mid")):
-                return
-            for part in payload["parts"]:
-                self._deliver_arrived(part, message)
+            if self.accept_delivery_once(payload.get("mid")):
+                self._deliveries_arrived([
+                    part for part in payload["parts"]
+                    if self.accept_delivery_once(part.get("mid"))
+                ], message)
         elif op == "bcast_repair":
             repaired = msg.Broadcast(
                 payload["payload"], payload["limit"], message.origin,
@@ -747,16 +753,17 @@ class ChordNode(SimNode, RpcNode):
         else:  # pragma: no cover - future ops
             raise ValueError("unknown route op {!r}".format(op))
 
-    def _deliver_arrived(self, payload, message):
-        if not self.accept_delivery_once(payload.get("mid")):
-            # Replay of a delivery this node already consumed (a
-            # re-forward after a lost hop ack): drop it here, before
-            # it can double-count in an execution or the engine's
-            # unclaimed-row buffer.
-            return
-        if (
-            payload.get("learn")
-            and message.origin != self.ref
+    def _deliveries_arrived(self, parts, message):
+        """Answer the origin's owner question once, then dispatch parts.
+
+        The answer is about ``message.key``, the routing key this node
+        terminates, so one reply serves every part of a bundle and every
+        exchange routing under that key.
+        """
+        if not parts or message.origin == self.ref:
+            pass  # nothing delivered, or nobody else to tell
+        elif (
+            any(part.get("learn") for part in parts)
             and (self.owns(message.key) or self.successor == self.ref)
         ):
             # The origin asked who terminates this key (a standing
@@ -768,18 +775,12 @@ class ChordNode(SimNode, RpcNode):
             # the whole cache TTL. The origin simply keeps walking
             # until a true owner replies.
             self.send_direct(message.origin.address, {
-                "op": "xowner", "ns": payload["ns"],
-                "rid": payload.get("rid"), "ref": self.ref,
+                "op": "xowner", "key": message.key, "ref": self.ref,
                 # Region label rides along so the learner can expire
                 # cross-region owners faster than local ones.
                 "region": self.region,
             })
-        elif (
-            message.force_terminal
-            and message.origin != self.ref
-            and payload.get("rid") is not None
-            and not self.owns(message.key)
-        ):
+        elif message.force_terminal and not self.owns(message.key):
             # A cache-directed (or heir) delivery landed on a node
             # that no longer owns the key -- ownership moved, e.g. a
             # joiner took over the range while the sender's owner
@@ -787,16 +788,15 @@ class ChordNode(SimNode, RpcNode):
             # beats a drop) but tell the origin to forget the entry
             # so its next batch re-walks the ring and re-learns.
             self.send_direct(message.origin.address, {
-                "op": "xowner_stale", "ns": payload["ns"],
-                "rid": payload["rid"],
+                "op": "xowner_stale", "key": message.key,
             })
-        handler = self._delivery_handlers.get(payload["ns"])
-        if handler is not None:
-            handler(payload, message)
-        elif self._default_delivery is not None:
-            # No subscriber yet (plan still disseminating): let the
-            # engine buffer the row(s) instead of dropping them.
-            self._default_delivery(payload, message)
+        for part in parts:
+            # No subscriber yet (plan still disseminating): the default
+            # handler lets the engine buffer the row(s), not drop them.
+            handler = (self._delivery_handlers.get(part["ns"])
+                       or self._default_delivery)
+            if handler is not None:
+                handler(part, message)
 
     def register_intercept(self, name, handler):
         """``handler(node, route_msg, at_owner) -> bool`` (True = forward)."""

@@ -6,10 +6,10 @@ overlay upkeep traffic from query traffic -- the DHT-scaling bench
 reports both.
 
 Messages are passed by reference inside the simulator; they must be
-treated as immutable after send (the one exception, documented inline,
-is the route payload replaced by combining upcalls, which happens only
-after the message has been delivered to its current hop).
+treated as immutable after send.
 """
+
+from repro.util.serde import wire_size
 
 
 class Message:
@@ -32,8 +32,6 @@ class RpcRequest(Message):
         self.inner = inner
 
     def wire_size(self):
-        from repro.util.serde import wire_size
-
         return 24 + wire_size(self.inner)
 
 
@@ -47,8 +45,6 @@ class RpcReply(Message):
         self.inner = inner
 
     def wire_size(self):
-        from repro.util.serde import wire_size
-
         return 16 + wire_size(self.inner)
 
 
@@ -110,8 +106,6 @@ class Route(Message):
         self.force_terminal = False  # deliver at next hop (range heir)
 
     def wire_size(self):
-        from repro.util.serde import wire_size
-
         return 20 + 16 + 8 + wire_size(self.payload)
 
 
@@ -136,8 +130,6 @@ class Broadcast(Message):
         self.req = req  # correlation id for that ack
 
     def wire_size(self):
-        from repro.util.serde import wire_size
-
         return 20 + 16 + 4 + wire_size(self.payload)
 
 
@@ -160,8 +152,6 @@ class StoreItems(Message):
         self.mids = mids or {}
 
     def wire_size(self):
-        from repro.util.serde import wire_size
-
         return (8 + sum(wire_size(i.value) + 28 for i in self.items)
                 + 24 * len(self.mids))
 
@@ -177,6 +167,4 @@ class Direct(Message):
         self.payload = payload
 
     def wire_size(self):
-        from repro.util.serde import wire_size
-
         return 8 + wire_size(self.payload)

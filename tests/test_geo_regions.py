@@ -22,7 +22,7 @@ import pytest
 
 from repro.core.engine import EngineConfig
 from repro.core.network import PierConfig, PierNetwork
-from repro.dht.chord import ChordNode, NodeRef
+from repro.dht.chord import ChordNode, NodeRef, storage_key
 from repro.dht.config import DhtConfig
 from repro.sim.clock import SimClock
 from repro.sim.latency import RegionalLatency
@@ -395,17 +395,17 @@ class TestRegionOwnerCache:
         assert engine.region == "us"
         local_ref = NodeRef(net.node("us1").chord.id, "us1")
         remote_ref = NodeRef(net.node("eu1").chord.id, "eu1")
-        engine._on_direct({"op": "xowner", "ns": "q|x|1", "rid": ("g",),
+        local_key = storage_key("q|x|1", ("g",))
+        remote_key = storage_key("q|x|1", ("h",))
+        engine._on_direct({"op": "xowner", "key": local_key,
                            "ref": local_ref, "region": "us"}, "us1")
-        engine._on_direct({"op": "xowner", "ns": "q|x|1", "rid": ("h",),
+        engine._on_direct({"op": "xowner", "key": remote_key,
                            "ref": remote_ref, "region": "eu"}, "eu1")
         now = net.now
         config = engine.config
         assert config.cross_region_cache_ttl < config.route_cache_ttl
-        _, local_expiry, local_region = engine._route_owners[
-            ("q|x|1", ("g",))]
-        _, remote_expiry, remote_region = engine._route_owners[
-            ("q|x|1", ("h",))]
+        _, local_expiry, local_region = engine._route_owners[local_key]
+        _, remote_expiry, remote_region = engine._route_owners[remote_key]
         assert local_region == "us" and remote_region == "eu"
         assert local_expiry == pytest.approx(now + config.route_cache_ttl)
         assert remote_expiry == pytest.approx(
@@ -413,8 +413,8 @@ class TestRegionOwnerCache:
         # Past the short TTL the backbone owner is forgotten, the
         # same-region one still trusted.
         net.advance(config.cross_region_cache_ttl + 1.0)
-        assert engine.cached_owner("q|x|1", ("h",)) is None
-        assert engine.cached_owner("q|x|1", ("g",)) == local_ref
+        assert engine.cached_owner(remote_key) is None
+        assert engine.cached_owner(local_key) == local_ref
 
     def test_killed_and_rejoined_region_is_not_pinned(self):
         """Regression: a cross-region owner learned before its region
@@ -453,7 +453,7 @@ class TestRegionOwnerCache:
 
         for address, node in net.nodes.items():
             engine = node.engine
-            for (ns, rid), entry in list(engine._route_owners.items()):
+            for key, entry in list(engine._route_owners.items()):
                 ref, expiry, region = entry
                 if (region == "eu" and region != engine.region
                         and expiry > net.now):
@@ -466,5 +466,5 @@ class TestRegionOwnerCache:
                         "{}: stale eu owner {} pinned past the rejoin"
                         .format(address, ref.address)
                     )
-                cached = engine.cached_owner(ns, rid)
+                cached = engine.cached_owner(key)
                 assert cached is None or net.net.is_alive(cached.address)

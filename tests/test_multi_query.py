@@ -2,13 +2,17 @@
 prefix (scan-stage) sharing across different queries, shared-scan
 refcounts, and parity with private executions."""
 
+import collections
 import math
 
 import pytest
 
 from repro.core.dataflow import StandingExecution
 from repro.core.engine import EngineConfig
+from repro.core.exchange import Exchange
 from repro.core.network import PierConfig, PierNetwork
+from repro.dht.chord import storage_key
+from repro.dht.messages import Direct
 
 
 def install_ticker(net, address, value, period=2.0, table="s"):
@@ -446,3 +450,149 @@ class TestPrefixStageRuntime:
             assert not engine._prefixes
             assert not engine._spines
         assert {r.epoch for r in results} >= {1, 2}
+
+
+def grouped_sql(threshold):
+    """A stage-shareable GROUP BY: its exchange routes one key per group."""
+    return ("SELECT v, COUNT(*) AS n FROM s WHERE v > {} GROUP BY v "
+            .format(threshold) + TAIL)
+
+
+def record_sends(net, op, seen):
+    """Record ``(send time, src, dst, payload)`` for every ``op`` direct
+    message as it is sent (delivery times carry per-message jitter)."""
+    send = net.net.send
+
+    def recording_send(src, dst, message):
+        payload = getattr(message, "payload", None)
+        if (isinstance(message, Direct) and isinstance(payload, dict)
+                and payload.get("op") == op):
+            seen.append((net.now, src, dst, payload))
+        return send(src, dst, message)
+
+    net.net.send = recording_send
+
+
+class TestFleetPaysOnce:
+    """Members of one fleet share owner learning and result messages:
+    the learned-owner cache is keyed by the routing key the owner
+    terminates, and a spine ships each epoch's rows once per site."""
+
+    def test_prefix_fleet_learns_each_routing_key_once(self, net):
+        replies = []
+        record_sends(net, "xowner", replies)
+        site = net.any_address()
+        fleet = [net.submit_sql(grouped_sql(1.5 + i), node=site)
+                 for i in range(4)]
+        assert len({h.plan.metadata["prefix"] for h in fleet}) == 1
+        assert len({h.plan.metadata["spine"] for h in fleet}) == 4
+        net.advance(35.0)
+        per_key = collections.Counter(
+            (dst, payload.get("key")) for _t, _src, dst, payload in replies
+        )
+        assert len(per_key) >= 4
+        # One reply per (origin, routing key), not one per member.
+        assert set(per_key.values()) == {1}
+
+    def test_mux_bundle_of_learning_parts_draws_one_reply(self, net):
+        replies = []
+        record_sends(net, "xowner", replies)
+        origin, owner = (net.node(a).chord for a in net.addresses()[:2])
+        delivered = []
+        parts = []
+        for i in range(3):
+            ns = "q|probe{}|op5|x".format(i)
+            owner.register_delivery(
+                ns, lambda payload, _msg: delivered.append(payload["ns"]))
+            parts.append({"op": "deliver", "ns": ns, "rid": ("g",),
+                          "data": (1.0,), "mid": origin.fresh_mid(),
+                          "learn": True})
+        origin.route(owner.id, {"op": "deliver_mux", "parts": parts,
+                                "mid": origin.fresh_mid()})
+        net.advance(2.0)
+        assert sorted(delivered) == sorted(p["ns"] for p in parts)
+        assert len(replies) == 1
+        _t, src, dst, payload = replies[0]
+        assert (src, dst) == (owner.address, origin.address)
+        assert payload["key"] == owner.id
+        assert payload["ref"].address == owner.address
+
+    def test_stale_reply_clears_the_entry_for_every_member(self, net):
+        site = net.any_address()
+        for i in range(3):
+            net.submit_sql(grouped_sql(1.5 + i), node=site)
+        net.advance(25.0)
+        for address in net.addresses():
+            engine = net.node(address).engine
+            members = [
+                op for srec in engine._spines.values()
+                for op in srec.execution.ops.values()
+                if isinstance(op, Exchange)
+            ]
+            assert len(members) == 3
+            # Every member routes under the stage's one namespace.
+            (route_ns,) = {x._route_ns for x in members}
+            learned = [
+                storage_key(route_ns, (float(v),)) for v in range(1, 9)
+                if engine.cached_owner(storage_key(route_ns, (float(v),)))
+            ]
+            if learned:
+                break
+        else:
+            pytest.fail("no node learned an owner for the fleet")
+        key = learned[0]
+        assert all(x._owner_fn(key) is not None for x in members)
+        engine._on_direct({"op": "xowner_stale", "key": key}, site)
+        assert all(x._owner_fn(key) is None for x in members)
+
+    def test_spine_ships_one_result_message_per_site(self, net):
+        results = collections.defaultdict(list)
+        sent = []
+        record_sends(net, "qres", sent)
+        site = net.any_address()
+        first = [net.submit_sql(VARIANTS[i % len(VARIANTS)], node=site,
+                                on_epoch=results[i].append)
+                 for i in range(5)]
+        net.advance(10.0)  # one period: the rest join at offset 1
+        later = [net.submit_sql(VARIANTS[i % len(VARIANTS)], node=site,
+                                on_epoch=results[5 + i].append)
+                 for i in range(5)]
+        fleet = first + later
+        assert len({h.plan.metadata["spine"] for h in fleet}) == 1
+        coordinator = net.node(site).coordinator
+        handed = []
+        on_result = coordinator.on_result
+
+        def probe(payload):
+            handed.append(payload)
+            on_result(payload)
+
+        coordinator.on_result = probe
+        net.advance(40.0)
+
+        # Each subscriber is listed under its own epoch number: one
+        # spine epoch, shifted by the subscriber's offset.
+        offsets = {h.qid: (0 if h in first else 1) for h in fleet}
+        per_send = collections.Counter()
+        for t, src, dst, payload in sent:
+            subs = dict(payload["subs"])
+            assert set(subs) <= set(offsets)
+            (spine_epoch,) = {subs[q] + offsets[q] for q in subs}
+            per_send[(t, src, dst, spine_epoch)] += 1
+        assert set(per_send.values()) == {1}
+        assert max(len(payload["subs"]) for *_rest, payload in sent) == 10
+        # ...in its own list: changing one handle's rows leaves the
+        # others unchanged.
+        fanned = [p for p in handed if p["node"] == handed[0]["node"]
+                  and p["rows"] == handed[0]["rows"]][:2]
+        assert len(fanned) == 2 and fanned[0]["qid"] != fanned[1]["qid"]
+        fanned[0]["rows"].append(("junk",))
+        assert fanned[1]["rows"] != fanned[0]["rows"]
+        # Aligned epochs agree across the two submission waves.
+        early, late = results[0], results[5]
+        early_rows = {r.epoch: sorted(r.rows) for r in early}
+        late_rows = {r.epoch: sorted(r.rows) for r in late}
+        shared = [j for j in late_rows if j + 1 in early_rows]
+        assert shared
+        for j in shared:
+            assert _rows_match(late_rows[j], early_rows[j + 1])
