@@ -13,6 +13,7 @@ is owned by whichever node's zone contains its point.
 
 from repro.sim.node import SimNode
 from repro.util.ids import sha1_id
+from repro.util.serde import wire_size
 from repro.util.stats import RunningStat
 
 
@@ -119,8 +120,6 @@ class CanMessage:
         self.hops = hops
 
     def wire_size(self):
-        from repro.util.serde import wire_size
-
         return 8 * len(self.point) + 24 + wire_size(self.payload)
 
 

@@ -6,7 +6,9 @@ overlay upkeep traffic from query traffic -- the DHT-scaling bench
 reports both.
 
 Messages are passed by reference inside the simulator; they must be
-treated as immutable after send.
+treated as immutable after send. ``Route`` relies on it: it keeps the
+size it was first sent with, so a multi-hop route or a retransmit is
+not sized again.
 """
 
 from repro.util.serde import wire_size
@@ -94,7 +96,7 @@ class Route(Message):
     kind = "route"
     category = "app"
     __slots__ = ("key", "payload", "origin", "hops", "upcall", "hop_ack",
-                 "force_terminal")
+                 "force_terminal", "_size")
 
     def __init__(self, key, payload, origin, hops=0, upcall=None):
         self.key = key
@@ -104,9 +106,13 @@ class Route(Message):
         self.upcall = upcall
         self.hop_ack = None  # (address, req) expecting a receipt ack
         self.force_terminal = False  # deliver at next hop (range heir)
+        self._size = None  # set on first send; the payload is final then
 
     def wire_size(self):
-        return 20 + 16 + 8 + wire_size(self.payload)
+        size = self._size
+        if size is None:
+            size = self._size = 20 + 16 + 8 + wire_size(self.payload)
+        return size
 
 
 class Broadcast(Message):

@@ -54,6 +54,8 @@ class Network:
         # Per-destination service queue (config.service_time > 0):
         # when each receiver is busy-until.
         self._busy_until = {}
+        # Message kind -> its (messages_kind_*, bytes_kind_*) counter names.
+        self._kind_counters = {}
 
     # ------------------------------------------------------------------
     # Node registry
@@ -125,8 +127,14 @@ class Network:
             size = wire_size(payload)
             self.counters.add("bytes_sent", size)
             if kind is not None:
-                self.counters.add("messages_kind_{}".format(kind))
-                self.counters.add("bytes_kind_{}".format(kind), size)
+                names = self._kind_counters.get(kind)
+                if names is None:
+                    names = self._kind_counters[kind] = (
+                        "messages_kind_{}".format(kind),
+                        "bytes_kind_{}".format(kind),
+                    )
+                self.counters.add(names[0])
+                self.counters.add(names[1], size)
         else:
             size = None
         cross = False
